@@ -9,8 +9,9 @@
 // The second half benchmarks the analysis engines themselves:
 //   * exhaustive simulation, scalar (lanes=1) vs 64 batched injection jobs
 //     per simulator pass (and the `threads` knob on top),
-//   * the SAT back-end, per-query miter rebuild vs the incremental
-//     selector-gated solver answering every query via assumptions, and
+//   * the SAT back-end, the selector-gated solver answering every query
+//     via assumptions (its k = 1 report must match the exhaustive one on
+//     injections, exploitable count and exploitable sites), and
 //   * Analyzer reuse: a many-region/fault-kind sweep over one otbn_controller
 //     variant through one synfi::Analyzer vs a fresh analyze() per query
 //     (the fixed simulator-build cost amortized vs paid per call).
@@ -214,19 +215,22 @@ int main(int argc, char** argv) {
   const double sim_wide_threaded =
       time_sweeps(ot_entry.fsm, ot_variant, sweep, sim_iters, &wide_threaded_report);
 
-  // SAT engine on the §6.4 module, where the per-query rebuild baseline is
-  // still tractable.
+  // SAT engine on the §6.4 module. Its independent check is the exhaustive
+  // sweep of the same region: at k = 1 both count one unit per (site, edge),
+  // so injections, exploitable count and exploitable sites must match (the
+  // detected/masked split differs by design).
   scfi::rtlil::Design d;
   const scfi::fsm::CompiledFsm c = scfi::core::scfi_harden(f, d, config);
   scfi::synfi::SynfiConfig sat_sweep;
   sat_sweep.backend = scfi::synfi::Backend::kSat;
-  sat_sweep.sat_incremental = false;
-  scfi::synfi::SynfiReport sat_rebuild_report;
   scfi::synfi::SynfiReport sat_incremental_report;
-  const double sat_rebuild = time_sweeps(f, c, sat_sweep, sat_iters, &sat_rebuild_report);
-  sat_sweep.sat_incremental = true;
   const double sat_incremental =
       time_sweeps(f, c, sat_sweep, sat_iters, &sat_incremental_report);
+  const scfi::synfi::SynfiReport sat_reference = scfi::synfi::analyze(f, c, {});
+  const bool sat_agree =
+      sat_reference.injections == sat_incremental_report.injections &&
+      sat_reference.exploitable == sat_incremental_report.exploitable &&
+      sat_reference.exploitable_sites == sat_incremental_report.exploitable_sites;
 
   // k-fault threat model on the same §6.4 module at k = 2: the exhaustive
   // combination sweep vs the incremental SAT participation queries. The two
@@ -275,11 +279,10 @@ int main(int argc, char** argv) {
                              scalar_report == threaded_report &&
                              scalar_report == wide_report &&
                              scalar_report == wide_threaded_report &&
-                             sat_rebuild_report == sat_incremental_report &&
+                             sat_agree &&
                              kfault_agree && reuse.reports_agree;
   const double batch_speedup = sim_scalar > 0 ? sim_batched / sim_scalar : 0.0;
   const double wide_speedup = sim_batched > 0 ? sim_wide / sim_batched : 0.0;
-  const double sat_speedup = sat_rebuild > 0 ? sat_incremental / sat_rebuild : 0.0;
 
   if (json) {
     std::printf("{\n");
@@ -299,10 +302,8 @@ int main(int argc, char** argv) {
     std::printf("  \"exhaustive_wide_batch_speedup\": %.2f,\n", wide_speedup);
     std::printf("  \"sat_module\": \"synfi14_n2\",\n");
     std::printf("  \"sat_queries_per_sweep\": %lld,\n",
-                static_cast<long long>(sat_rebuild_report.injections));
-    std::printf("  \"sat_rebuild\": %.1f,\n", sat_rebuild);
+                static_cast<long long>(sat_incremental_report.injections));
     std::printf("  \"sat_incremental\": %.1f,\n", sat_incremental);
-    std::printf("  \"sat_incremental_speedup\": %.2f,\n", sat_speedup);
     std::printf("  \"kfault_module\": \"synfi14_n2\",\n");
     std::printf("  \"kfault_k\": 2,\n");
     std::printf("  \"kfault_combinations_per_sweep\": %lld,\n",
@@ -331,10 +332,8 @@ int main(int argc, char** argv) {
     std::printf("    wide    + %2d threads            %12.0f inj/s\n", hw_threads,
                 sim_wide_threaded);
     std::printf("  SAT, synfi14 MDS region (%lld queries/sweep):\n",
-                static_cast<long long>(sat_rebuild_report.injections));
-    std::printf("    rebuild-per-query               %12.0f q/s\n", sat_rebuild);
-    std::printf("    incremental (assumptions)       %12.0f q/s  (%.1fx)\n", sat_incremental,
-                sat_speedup);
+                static_cast<long long>(sat_incremental_report.injections));
+    std::printf("    incremental (assumptions)       %12.0f q/s\n", sat_incremental);
     std::printf("  k-fault (k=2), synfi14 MDS region:\n");
     std::printf("    exhaustive combinations         %12.0f inj/s\n", kfault_sim);
     std::printf("    SAT participation queries       %12.0f q/s\n", kfault_sat);

@@ -29,14 +29,17 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # Optional sanitizer lane: a second compilation with AddressSanitizer +
 # UndefinedBehaviorSanitizer over the fast suites (base/store/planner/sweep
 # units, not the minutes-long corpus sweeps) so memory bugs in the hot
-# engines surface without slowing the tier-1 path.
+# engines surface without slowing the tier-1 path. The SYNFI engine suites
+# (SynfiParallel|ZooParallel|SynfiAnalyzer|KFaultSynfi) are in the set: the
+# shared shard runners' site bitmaps, lane_sites and combination unranking
+# and the test-only rebuild oracle all run sanitized.
 if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSCFI_BUILD_BENCHMARKS=OFF -DSCFI_BUILD_EXAMPLES=OFF \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes'
+    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|SynfiParallel|ZooParallel|SynfiAnalyzer|KFaultSynfi'
 fi
 
 # Verilog write->read roundtrip gate: every zoo module (unprotected and SCFI-
@@ -59,7 +62,7 @@ fi
 # SYNFI engine smoke test (one timing iteration): exercises the batched
 # exhaustive backend, the incremental SAT backend, and the reusable
 # Analyzer, and exits non-zero if their reports ever diverge from the
-# scalar/rebuild/per-call baselines.
+# scalar, exhaustive-sweep and per-call baselines.
 build/bench_sec64_synfi --quick
 
 # Campaign-at-scale smoke: the streaming planner must finish an

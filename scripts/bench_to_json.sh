@@ -90,9 +90,10 @@ json.dump(out, open(sys.argv[3], "w"), indent=2)
 print(f"wrote {sys.argv[3]}")
 EOF
 
-# SYNFI analysis engines: batched-vs-scalar exhaustive simulation and
-# incremental-vs-rebuild SAT. The bench emits the JSON itself; validate and
-# pretty-print it through python so a malformed run cannot land in the repo.
+# SYNFI analysis engines: batched-vs-scalar exhaustive simulation and the
+# incremental SAT query rate (checked against the exhaustive sweep). The
+# bench emits the JSON itself; validate and pretty-print it through python so
+# a malformed run cannot land in the repo.
 if [[ -x "$SYNFI_BENCH" ]]; then
   "$SYNFI_BENCH" --json > "$RAW"
   python3 - "$RAW" "$SYNFI_OUT" <<'EOF'

@@ -1,30 +1,35 @@
 // Pre-silicon fault analysis in the style of SYNFI (paper §6.4).
 //
-// For every fault location inside a region of the hardened netlist and every
-// valid state transition, the analysis decides whether a single induced
-// fault lets the attacker reach a *valid but wrong* next state without
-// raising the alert — the exploitability criterion of the paper. Two
-// back-ends are provided:
+// For every set of k fault locations inside a region of the hardened
+// netlist and every valid state transition, the analysis decides whether
+// the induced faults let the attacker reach a *valid but wrong* next state
+// without raising the alert — the exploitability criterion of the paper.
+// The paper's single-fault sweep is the k = 1 case of the k-fault sweep, not
+// a separate code path: each back-end has ONE shard runner that serves
+// every k.
 //   * exhaustive simulation (complete here, because all valid stimuli of the
-//     one-cycle property are enumerated). (site, edge) injection jobs are
-//     packed `lanes` at a time into the bit-parallel simulator (up to
+//     one-cycle property are enumerated). (combination, edge) injection jobs
+//     are packed `lanes` at a time into the bit-parallel simulator (up to
 //     64 x lane_words = 512 lanes per pass via multi-word SoA lane blocks) —
-//     each lane carries its own state/symbol stimulus and a single-lane
-//     fault mask — and outcomes are classified word-parallel against the
-//     expected/error/valid codewords and the alert word.
+//     each lane carries its own state/symbol stimulus and the faults of its
+//     k-site combination — and outcomes are classified word-parallel
+//     against the expected/error/valid codewords and the alert word.
 //   * a SAT back-end (CDCL solver) that additionally supports leaving the
-//     control symbol unconstrained. By default it builds ONE golden +
-//     selector-gated-faulty miter per variant (every fault override
-//     conditioned on a fresh selector literal, `exactly_one` over the
-//     selectors) and answers each (site, edge) query incrementally via
-//     `solve(assumptions)`, sharing the CNF and learned clauses across all
-//     queries; `sat_incremental = false` falls back to rebuilding a
-//     single-fault miter per query.
+//     control symbol unconstrained. It builds one golden + selector-gated
+//     faulty miter per shard (every fault override conditioned on a fresh
+//     selector literal) and answers each (site, edge) participation query
+//     incrementally via `solve(assumptions)`, sharing the CNF and learned
+//     clauses across all queries. k > 1 gates every region site and adds a
+//     cardinality counter whose exactly-k assumptions ride along with each
+//     query; k = 1 gates only the shard's sites under `exactly_one`, which
+//     measured 18% faster than the counter's exactly-1 assumptions.
 //
-// The (site, edge) job list is sharded across `threads` workers in
-// contiguous site ranges with a deterministic merge, so every report —
-// all counters and the `exploitable_sites` order — is bit-identical for
-// every lanes/threads combination.
+// Both back-ends run through one thread fan-out: the job groups [0, N) —
+// N = C(sites, k) combination ranks for simulation (at k = 1 a rank is a
+// site index), N = sites for SAT — are split into contiguous ranges across
+// `threads` workers, and the merge sums the counters and ORs full-region
+// site bitmaps, so every report — all counters and the `exploitable_sites`
+// order — is bit-identical for every lanes/threads combination.
 #pragma once
 
 #include <cstdint>
@@ -51,14 +56,13 @@ struct SynfiConfig {
   std::string wire_prefix = "mds_";
   Backend backend = Backend::kExhaustiveSim;
   sim::FaultKind kind = sim::FaultKind::kTransientFlip;
-  /// Concurrent faults per injection: 1 reproduces the classic single-fault
-  /// sweep; k > 1 switches the exhaustive back-end to lazily streamed site
-  /// *combinations* (C(sites, k) x edges injections) and the SAT back-end to
-  /// per-site participation queries ("does some exactly-k fault set
-  /// including this site break this edge?") over one cardinality-constrained
-  /// miter. This is how the paper's distance claim is measured directly: an
-  /// encoding with minimum distance d must show no exploitable outcome for
-  /// any k < d.
+  /// Concurrent faults per injection. The exhaustive back-end streams site
+  /// *combinations* lazily (C(sites, k) x edges injections); the SAT
+  /// back-end asks per-site participation queries ("does some exactly-k
+  /// fault set including this site break this edge?"). k = 1 is the classic
+  /// single-fault sweep of paper §6.4 through the same runners. This is how
+  /// the paper's distance claim is measured directly: an encoding with
+  /// minimum distance d must show no exploitable outcome for any k < d.
   int faults_k = 1;
   /// Restrict the fault region to one target class of the paper (§3.1):
   /// kStateRegister faults the state register Q bits themselves (the class
@@ -66,8 +70,9 @@ struct SynfiConfig {
   /// inputs, kLogic the combinational prefix region. kAny keeps the classic
   /// prefix region (plus inputs when include_inputs is set).
   sim::FaultTarget target = sim::FaultTarget::kAny;
-  /// SAT back-end only: leave the encoded control symbol unconstrained
-  /// (any bus value, not just valid codewords).
+  /// SAT back-end only (run() rejects it with the exhaustive back-end):
+  /// leave the encoded control symbol unconstrained (any bus value, not
+  /// just valid codewords).
   bool free_symbol = false;
   /// Also inject into module input bits (FT2 / common-mode faults). Only
   /// meaningful with an empty or matching wire_prefix.
@@ -77,12 +82,10 @@ struct SynfiConfig {
   /// one-job-per-pass path; widths past 64 select a multi-word lane block,
   /// subject to the SCFI_LANE_WORDS_CAP runtime clamp.
   int lanes = sim::kNumLanes;
-  /// Worker threads sharding the site list (both back-ends); <= 1 = inline.
-  /// The report is bit-identical for every lanes/threads combination.
+  /// Worker threads sharding the combination ranks (exhaustive) or the site
+  /// list (SAT); <= 1 = inline. The report is bit-identical for every
+  /// lanes/threads combination.
   int threads = 1;
-  /// SAT back-end: answer queries on one reusable selector-gated solver via
-  /// assumptions (default) instead of rebuilding the miter per query.
-  bool sat_incremental = true;
   /// Optional cooperative stop signal, polled once per simulator batch /
   /// SAT query: when it fires, workers throw CancelledError at the next
   /// check point instead of being killed. Execution knob like
@@ -116,12 +119,12 @@ struct SynfiReport {
 
 /// Stateful analysis engine bound to ONE compiled variant. Construction and
 /// the first `run()` pay the fixed costs — edge table, per-worker simulators,
-/// per-region site enumeration, and (for the incremental SAT back-end) the
-/// per-shard selector-gated solvers — and every further `run()` re-queries
-/// the cached state, so a many-region / many-fault-kind sweep over one
-/// variant no longer rebuilds the Simulator or CNF per call. New incremental
-/// SAT shards are additionally warm-started from the variable activities and
-/// phases a previous shard of the same variant learned.
+/// per-region site enumeration, and (for the SAT back-end) the per-shard
+/// selector-gated solvers — and every further `run()` re-queries the cached
+/// state, so a many-region / many-fault-kind sweep over one variant no
+/// longer rebuilds the Simulator or CNF per call. New SAT shards are
+/// additionally warm-started from the variable activities and phases a
+/// previous shard of the same variant learned.
 ///
 /// Every `run()` report is bit-identical to a fresh `analyze()` call with
 /// the same config (cached simulators/solvers can only change speed, never a
@@ -138,8 +141,8 @@ class Analyzer {
   SynfiReport run(const SynfiConfig& config = {});
 
   const fsm::CompiledFsm& variant() const;
-  /// Cache diagnostics (tests/benches): live simulator contexts and
-  /// incremental SAT shard solvers.
+  /// Cache diagnostics (tests/benches): live simulator contexts and SAT
+  /// shard solvers.
   std::size_t cached_simulators() const;
   std::size_t cached_sat_shards() const;
 

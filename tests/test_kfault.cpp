@@ -23,6 +23,7 @@
 #include "sim/netlist_sim.h"
 #include "sweep/result_store.h"
 #include "synfi/synfi.h"
+#include "synfi_oracle.h"
 #include "test_helpers.h"
 
 namespace scfi {
@@ -204,10 +205,8 @@ TEST(KFaultSynfi, SimCombinationsAgreeWithSatParticipation) {
                                         sat_report.exploitable_sites.end());
   EXPECT_EQ(sim_sites, sat_sites);
 
-  // The rebuild-per-query SAT path answers the same participation queries.
-  synfi::SynfiConfig rebuild = sat_config;
-  rebuild.sat_incremental = false;
-  EXPECT_TRUE(synfi::analyze(f, c, rebuild) == sat_report);
+  // The rebuild-per-query SAT oracle answers the same participation queries.
+  EXPECT_TRUE(test::synfi_rebuild_oracle(f, c, sat_config) == sat_report);
 }
 
 TEST(KFaultSynfi, KLargerThanSitesIsEmptySweep) {

@@ -1620,6 +1620,26 @@ TEST(SweepOrchestrator, JobTimeoutRecordsFailureAndResumeRecovers) {
   ResultStore campaign_store;
   EXPECT_EQ(SweepOrchestrator(config).run(campaign_jobs, campaign_store).failed, 1);
 
+  // Every other branch of the SYNFI shard runners polls it too: the SAT
+  // queries at k = 1 and both back-ends at k = 2.
+  for (const auto& [backend, k] : {std::pair{synfi::Backend::kSat, 1},
+                                   std::pair{synfi::Backend::kExhaustiveSim, 2},
+                                   std::pair{synfi::Backend::kSat, 2}}) {
+    synfi::SynfiConfig synfi_config;
+    synfi_config.backend = backend;
+    synfi_config.faults_k = k;
+    const std::vector<SweepJob> branch_jobs = expand_jobs("pwrmgr_fsm", {2}, {synfi_config});
+    ResultStore branch_store;
+    const SweepStats branch = SweepOrchestrator(config).run(branch_jobs, branch_store);
+    const std::string label = branch_jobs[0].key();
+    EXPECT_EQ(branch.executed, 0) << label;
+    EXPECT_EQ(branch.failed, 1) << label;
+    const SweepResult* record = branch_store.find(branch_jobs[0].key());
+    ASSERT_NE(record, nullptr) << label;
+    EXPECT_TRUE(record->status == JobStatus::kFailed) << label;
+    EXPECT_NE(record->error.find("timed out"), std::string::npos) << label;
+  }
+
   // A resume without the deadline re-executes the timed-out key and its
   // latest-wins record flips to ok — the retry-lease path end to end.
   ResultStore resumed = ResultStore::load(path);

@@ -1,9 +1,11 @@
-// Equivalence of the batched/incremental SYNFI engines with the scalar seed
-// path: for every lanes/threads combination (including lanes=1/threads=1,
-// which literally replays the one-(site,edge)-job-per-pass flow) the
-// SynfiReport must be bit-identical — every counter and the exact
-// `exploitable_sites` order. Covers the KISS2 corpus, the OT zoo, and the
-// assumption-based SAT backend against the per-query miter-rebuild baseline.
+// Equivalence of the batched SYNFI engines with the scalar path: for every
+// lanes/threads combination (including lanes=1/threads=1, which literally
+// replays the one-(site,edge)-job-per-pass flow) the SynfiReport must be
+// bit-identical — every counter and the exact `exploitable_sites` order.
+// The k = 1 sweeps pinned here run through the same shard runners and the
+// same fan-out/merge as the k-fault sweeps, so they also pin that fold.
+// Covers the KISS2 corpus, the OT zoo, and the assumption-based SAT backend
+// against the test-only per-query miter-rebuild oracle (synfi_oracle.h).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,6 +18,7 @@
 #include "ot/zoo.h"
 #include "rtlil/design.h"
 #include "synfi/synfi.h"
+#include "synfi_oracle.h"
 #include "test_helpers.h"
 
 namespace scfi::synfi {
@@ -113,9 +116,7 @@ TEST_P(CorpusParallel, SatIncrementalMatchesRebuild) {
   SynfiConfig config;
   config.backend = Backend::kSat;
 
-  config.sat_incremental = false;
-  const SynfiReport rebuild = analyze_with(f, c, config, 1, 1);
-  config.sat_incremental = true;
+  const SynfiReport rebuild = test::synfi_rebuild_oracle(f, c, config);
   const SynfiReport incremental = analyze_with(f, c, config, 1, 1);
   expect_reports_equal(rebuild, incremental, f.name + " sat incremental-vs-rebuild");
   for (const LanesThreads& lt : combos()) {
@@ -176,9 +177,7 @@ TEST(SynfiParallel, ZooSatIncrementalMatchesRebuild) {
       ot::build_ot_variant(entry, d, ot::Variant::kScfi, 2, "pwrmgr_synfi_sat");
   SynfiConfig config;
   config.backend = Backend::kSat;
-  config.sat_incremental = false;
-  const SynfiReport rebuild = analyze_with(entry.fsm, c, config, 1, 1);
-  config.sat_incremental = true;
+  const SynfiReport rebuild = test::synfi_rebuild_oracle(entry.fsm, c, config);
   for (const int threads : {1, 3}) {
     const SynfiReport got = analyze_with(entry.fsm, c, config, 1, threads);
     expect_reports_equal(rebuild, got, "pwrmgr sat threads=" + std::to_string(threads));
@@ -218,9 +217,7 @@ TEST(SynfiParallel, FreeSymbolIncrementalMatchesRebuild) {
   SynfiConfig config;
   config.backend = Backend::kSat;
   config.free_symbol = true;
-  config.sat_incremental = false;
-  const SynfiReport rebuild = analyze_with(f, c, config, 1, 1);
-  config.sat_incremental = true;
+  const SynfiReport rebuild = test::synfi_rebuild_oracle(f, c, config);
   const SynfiReport incremental = analyze_with(f, c, config, 1, 2);
   expect_reports_equal(rebuild, incremental, "free-symbol sat");
 }
@@ -240,6 +237,11 @@ TEST(SynfiParallel, InvalidKnobsThrow) {
   EXPECT_NO_THROW(analyze(f, c, config));
   config.lanes = 64;
   config.threads = 0;
+  EXPECT_THROW(analyze(f, c, config), ScfiError);
+  // free_symbol is a SAT-only knob: the exhaustive sweep enumerates valid
+  // codewords only and must not return that verdict under a free-symbol key.
+  config.threads = 1;
+  config.free_symbol = true;
   EXPECT_THROW(analyze(f, c, config), ScfiError);
 }
 
