@@ -32,14 +32,15 @@ SCFI_LANE_WORDS_CAP=1 ctest --test-dir build --output-on-failure -j "$(nproc)" \
 # engines surface without slowing the tier-1 path. The SYNFI engine suites
 # (SynfiParallel|ZooParallel|SynfiAnalyzer|KFaultSynfi) are in the set: the
 # shared shard runners' site bitmaps, lane_sites and combination unranking
-# and the test-only rebuild oracle all run sanitized.
+# and the test-only rebuild oracle all run sanitized, as does FSM recovery
+# through both extraction entry points (Extract, and the SCFI pass: Pass\.).
 if [[ "${CI_SANITIZE:-0}" == "1" ]]; then
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSCFI_BUILD_BENCHMARKS=OFF -DSCFI_BUILD_EXAMPLES=OFF \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|FsmExtract|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|SynfiParallel|ZooParallel|SynfiAnalyzer|KFaultSynfi'
+    -R 'Rng|Error|Strutil|SimParallel|ResultStore|DiffReport|SweepJobs|GlobMatch|Kiss2|ModuleSource|WilsonInterval|CancelToken|BackoffPolicy|LeaseLedger|FleetSupervisor|VerilogLexer|VerilogParse|Extract|Pass\.|CardinalityCounter|KFaultCampaign|ResultStoreKFault|AutoLanes|SynfiParallel|ZooParallel|SynfiAnalyzer|KFaultSynfi'
 fi
 
 # Verilog write->read roundtrip gate: every zoo module (unprotected and SCFI-

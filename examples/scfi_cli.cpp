@@ -25,7 +25,7 @@
 //                    [--max-exploitable-increase N]
 //                    [--max-hijack-rate-increase F] [--max-detection-rate-drop F]
 //                    [--wilson-z Z] [--wilson-min-trials N] [--fail-on-removed]
-//   scfi_cli store-compact <store.jsonl> [--migrate]
+//   scfi_cli store-compact <store.jsonl>
 //   scfi_cli dot     <file.kiss2>
 //   scfi_cli import-verilog <file.v> [--dot]
 // Without a file argument a built-in demo FSM is used. `import-verilog`
@@ -41,7 +41,7 @@
 // campaign job per module x level x kind x campaign-variant — and streams
 // JSONL results into --out; --resume skips jobs already ok there (failed
 // and timed-out keys re-execute). A job that throws is retried --retries
-// times with backoff, then recorded as a schema-v5 failure record (the
+// times with backoff, then recorded as a failure record (the
 // sweep exits 1 but the other jobs complete); --job-timeout bounds each
 // job's wall clock; --fail-fast aborts the fleet on the first error.
 // --fleet N forks N supervised worker subprocesses that shard the matrix
@@ -145,9 +145,7 @@ int usage() {
                "           --max-detection-rate-drop F --wilson-z Z\n"
                "           --wilson-min-trials N --fail-on-removed\n"
                "  store-compact: <store.jsonl>  rewrite latest-wins compact "
-               "(salvages a torn tail);\n"
-               "           --migrate rewrites a mixed-schema store at the current "
-               "version\n");
+               "(salvages a torn tail)\n");
   return 2;
 }
 
@@ -224,7 +222,6 @@ int main(int argc, char** argv) {
   std::string campaign_variants = "scfi";
   std::string campaign_target = "any";
   bool resume = false;
-  bool migrate = false;
   bool level_set = false;
   int level = 2;
   int faults = 1;
@@ -270,8 +267,6 @@ int main(int argc, char** argv) {
         for (const std::string& t : scfi::split(target, ",")) {
           scfi::sweep::fault_target_of(t);  // validate now, use later
         }
-      } else if (arg == "--migrate") {
-        migrate = true;
       } else if (arg == "--lanes" && has_value) {
         lanes = parse_positive("--lanes", argv[++i]);
         scfi::require(lanes <= scfi::sim::kMaxLanes,
@@ -371,7 +366,7 @@ int main(int argc, char** argv) {
       // store: compacting nothing means the caller pointed at the wrong
       // file, and a silent success would hide that.
       const scfi::sweep::ResultStore::CompactStats stats =
-          scfi::sweep::ResultStore::compact_file(path, migrate);
+          scfi::sweep::ResultStore::compact_file(path);
       std::printf("store-compact: %zu line(s) -> %zu record(s) in %s\n", stats.lines,
                   stats.records, path.c_str());
       return 0;
@@ -425,10 +420,6 @@ int main(int argc, char** argv) {
           scfi::sweep::ResultStore::load(positional[1]);
       scfi::require(candidate.size() > 0,
                     "scfi_cli: candidate store " + positional[1] + " is missing or empty");
-      // A store whose lines span schema versions would be half-migrated in
-      // memory; a regression gate must compare records as they were written.
-      baseline.require_uniform_schema("scfi_cli: sweep-diff: " + positional[0]);
-      candidate.require_uniform_schema("scfi_cli: sweep-diff: " + positional[1]);
       const scfi::sweep::DiffReport report =
           scfi::sweep::diff_report(baseline, candidate, thresholds);
       std::fputs(report.render().c_str(), stdout);

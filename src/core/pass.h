@@ -1,6 +1,7 @@
-// End-to-end SCFI pass over a design: detect the FSM in a compiled module
-// (via exhaustive-simulation extraction), harden it, and report — the analog
-// of inserting the SCFI pass into the Yosys flow (paper §5).
+// End-to-end SCFI pass over a design: recover the FSM held in the named
+// state register of a compiled module (fsm::extract_fsm, which keeps the
+// module's whole port interface), harden it, and report — the analog of
+// inserting the SCFI pass into the Yosys flow (paper §5).
 #pragma once
 
 #include <optional>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_set>
 
@@ -56,40 +57,35 @@ struct Candidate {
   std::vector<Cell*> ffs;
 };
 
+/// `w` as a candidate state register, or nullopt when it is not one.
+std::optional<Candidate> candidate_of(const Wire* w, const NetlistIndex& index) {
+  if (w->width() < 1 || w->width() > 64) return std::nullopt;
+  // Every bit must come out of a flip-flop.
+  std::set<Cell*> ff_cells;
+  for (int off = 0; off < w->width(); ++off) {
+    Cell* driver = index.driver(SigBit(w, off));
+    if (driver == nullptr || !rtlil::is_ff(driver->type())) return std::nullopt;
+    ff_cells.insert(driver);
+  }
+  // The register must be drivable independently: none of its flip-flops
+  // may latch bits of another wire (concat Q targets span registers).
+  for (const Cell* cell : ff_cells) {
+    for (const SigBit& q : cell->port("Q").bits()) {
+      if (q.is_const() || q.wire != w) return std::nullopt;
+    }
+  }
+  // Self-feeding and self-contained: the next-state cone's flip-flop
+  // support is exactly this wire.
+  Cone cone;
+  for (const Cell* cell : ff_cells) trace_cone(index, cell->port("D"), cone);
+  if (cone.ff_wires.size() != 1 || *cone.ff_wires.begin() != w) return std::nullopt;
+  return Candidate{w, std::vector<Cell*>(ff_cells.begin(), ff_cells.end())};
+}
+
 std::vector<Candidate> find_candidates(const rtlil::Module& module, const NetlistIndex& index) {
   std::vector<Candidate> out;
   for (const Wire* w : module.wires()) {
-    if (w->width() < 1 || w->width() > 64) continue;
-    // Every bit must come out of a flip-flop.
-    std::set<Cell*> ff_cells;
-    bool all_ff = true;
-    for (int off = 0; off < w->width() && all_ff; ++off) {
-      Cell* driver = index.driver(SigBit(w, off));
-      if (driver == nullptr || !rtlil::is_ff(driver->type())) {
-        all_ff = false;
-        break;
-      }
-      ff_cells.insert(driver);
-    }
-    if (!all_ff) continue;
-    // The register must be drivable independently: none of its flip-flops
-    // may latch bits of another wire (concat Q targets span registers).
-    bool self_owned = true;
-    for (const Cell* cell : ff_cells) {
-      for (const SigBit& q : cell->port("Q").bits()) {
-        if (q.is_const() || q.wire != w) self_owned = false;
-      }
-    }
-    if (!self_owned) continue;
-    // Self-feeding and self-contained: the next-state cone's flip-flop
-    // support is exactly this wire.
-    Cone cone;
-    for (const Cell* cell : ff_cells) trace_cone(index, cell->port("D"), cone);
-    if (cone.ff_wires.size() != 1 || *cone.ff_wires.begin() != w) continue;
-    Candidate c;
-    c.wire = w;
-    c.ffs.assign(ff_cells.begin(), ff_cells.end());
-    out.push_back(std::move(c));
+    if (std::optional<Candidate> c = candidate_of(w, index)) out.push_back(std::move(*c));
   }
   return out;
 }
@@ -111,59 +107,103 @@ StateEncoding classify(const std::vector<std::uint64_t>& codes) {
   return StateEncoding::kOther;
 }
 
-ExtractedFsm recover(const rtlil::Module& module, const NetlistIndex& index,
-                     const Candidate& cand, const ExtractOptions& options) {
-  const std::string where = "fsm extract: " + module.name() + "." + cand.wire->name() + ": ";
+/// One recovered (input-cube) -> (next state, outputs) row.
+struct ExtractCube {
+  std::string guard;
+  std::uint64_t next = 0;
+  std::string output;
+};
 
-  // Cone-relevant inputs: the next-state cone plus the cones of every
-  // captured output. Outputs are captured when they depend on this register
-  // and nothing else that holds state.
-  Cone state_cone;
-  for (const Cell* cell : cand.ffs) trace_cone(index, cell->port("D"), state_cone);
-  std::unordered_set<SigBit> relevant = state_cone.input_bits;
-
-  std::vector<SigBit> output_bits;
-  std::vector<std::string> output_names;
-  if (options.capture_outputs) {
-    for (const Wire* w : module.wires()) {
-      if (!w->is_output()) continue;
-      for (int off = 0; off < w->width(); ++off) {
-        const SigBit bit(w, off);
-        Cone cone;
-        trace_cone(index, rtlil::SigSpec(bit), cone);
-        if (cone.ff_wires.empty()) continue;  // input-only / constant outputs
-        if (cone.ff_wires.size() != 1 || *cone.ff_wires.begin() != cand.wire) continue;
-        output_bits.push_back(bit);
-        output_names.push_back(bit_name(bit));
-        relevant.insert(cone.input_bits.begin(), cone.input_bits.end());
+/// Merges cubes that differ in exactly one determined position and agree on
+/// (next, output) until no merge applies — adjacent-implicant compaction
+/// (Quine-McCluskey restricted to exact unions). The resulting guards of one
+/// state partition the input space, so priority order never matters.
+void compact_cubes(std::vector<ExtractCube>& cubes) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t i = 0; i < cubes.size() && !changed; ++i) {
+      for (std::size_t j = i + 1; j < cubes.size() && !changed; ++j) {
+        if (cubes[i].next != cubes[j].next || cubes[i].output != cubes[j].output) continue;
+        const std::string& a = cubes[i].guard;
+        const std::string& b = cubes[j].guard;
+        int diff = -1;
+        bool mergeable = true;
+        for (std::size_t k = 0; k < a.size(); ++k) {
+          if (a[k] == b[k]) continue;
+          if (a[k] == '-' || b[k] == '-' || diff >= 0) {
+            mergeable = false;
+            break;
+          }
+          diff = static_cast<int>(k);
+        }
+        if (!mergeable || diff < 0) continue;
+        cubes[i].guard[static_cast<std::size_t>(diff)] = '-';
+        cubes.erase(cubes.begin() + static_cast<std::ptrdiff_t>(j));
+        changed = true;
       }
     }
   }
+}
 
-  // Deterministic input order: module wire order, then bit offset.
-  sim::Simulator sim(module);
-  struct InputBit {
-    sim::Simulator::WireHandle handle;
-    int offset = 0;
-  };
-  std::vector<InputBit> input_bits;
-  std::vector<std::string> input_names;
+/// The port bits a recovered machine is expressed over — its Fsm inputs
+/// and outputs, each in module wire order, then bit offset. Each entry point
+/// picks its own (see fsm/extract.h).
+struct Ports {
+  std::vector<SigBit> inputs;
+  std::vector<SigBit> outputs;
+};
+
+/// Every bit of the module's input ports (`inputs`) or output ports.
+std::vector<SigBit> port_bits(const rtlil::Module& module, bool inputs) {
+  std::vector<SigBit> bits;
   for (const Wire* w : module.wires()) {
-    if (!w->is_input()) continue;
-    const sim::Simulator::WireHandle h = sim.input_handle(w->name());
-    for (int off = 0; off < w->width(); ++off) {
-      if (relevant.count(SigBit(w, off)) == 0) continue;
-      input_bits.push_back(InputBit{h, off});
-      input_names.push_back(bit_name(SigBit(w, off)));
+    if (inputs ? !w->is_input() : !w->is_output()) continue;
+    for (int off = 0; off < w->width(); ++off) bits.emplace_back(w, off);
+  }
+  return bits;
+}
+
+/// extract_fsms' port rule: the input bits of the next-state cone plus the
+/// cones of every captured output. Outputs are captured when they depend on
+/// this register and nothing else that holds state.
+Ports cone_ports(const rtlil::Module& module, const NetlistIndex& index, const Candidate& cand,
+                 const ExtractOptions& options) {
+  Cone state_cone;
+  for (const Cell* cell : cand.ffs) trace_cone(index, cell->port("D"), state_cone);
+  std::unordered_set<SigBit> relevant = std::move(state_cone.input_bits);
+  Ports ports;
+  if (options.capture_outputs) {
+    for (const SigBit& bit : port_bits(module, /*inputs=*/false)) {
+      Cone cone;
+      trace_cone(index, rtlil::SigSpec(bit), cone);
+      if (cone.ff_wires.empty()) continue;  // input-only / constant outputs
+      if (cone.ff_wires.size() != 1 || *cone.ff_wires.begin() != cand.wire) continue;
+      ports.outputs.push_back(bit);
+      relevant.insert(cone.input_bits.begin(), cone.input_bits.end());
     }
   }
-  const int n = static_cast<int>(input_bits.size());
+  for (const SigBit& bit : port_bits(module, /*inputs=*/true)) {
+    if (relevant.count(bit) != 0) ports.inputs.push_back(bit);
+  }
+  return ports;
+}
+
+ExtractedFsm recover(const rtlil::Module& module, const Candidate& cand, const Ports& ports,
+                     const ExtractOptions& options) {
+  const std::string where = "fsm extract: " + module.name() + "." + cand.wire->name() + ": ";
+  const int n = static_cast<int>(ports.inputs.size());
   require(n <= options.max_inputs,
-          where + std::to_string(n) + " cone-relevant inputs exceed the exhaustive bound of " +
+          where + std::to_string(n) + " input bits exceed the exhaustive bound of " +
               std::to_string(options.max_inputs));
 
+  sim::Simulator sim(module);
+  std::vector<sim::Simulator::WireHandle> input_handles;
+  for (const SigBit& bit : ports.inputs) {
+    input_handles.push_back(sim.input_handle(bit.wire->name()));
+  }
   const sim::Simulator::WireHandle state_h = sim.probe(cand.wire->name());
-  sim.reset();  // zeroes every input; irrelevant ones stay 0 throughout
+  sim.reset();  // zeroes every input; those outside `ports` stay 0 throughout
   const std::uint64_t reset_code = sim.get(state_h);
 
   // BFS over reachable codes.
@@ -176,15 +216,15 @@ ExtractedFsm recover(const rtlil::Module& module, const NetlistIndex& index,
     queue.pop_front();
     std::vector<ExtractCube>& cubes = rows[code];
     for (std::uint64_t combo = 0; combo < (1ULL << n); ++combo) {
-      for (int i = 0; i < n; ++i) {
-        const InputBit& in = input_bits[static_cast<std::size_t>(i)];
-        sim.set_input_word(in.handle, in.offset, ((combo >> i) & 1) ? ~0ULL : 0ULL);
+      for (std::size_t i = 0; i < input_handles.size(); ++i) {
+        sim.set_input_word(input_handles[i], ports.inputs[i].offset,
+                           ((combo >> i) & 1) ? ~0ULL : 0ULL);
       }
       sim.set_register(state_h, code);
       sim.eval();
-      std::string out_pattern(output_bits.size(), '0');
-      for (std::size_t i = 0; i < output_bits.size(); ++i) {
-        if (sim.get_bit(output_bits[i])) out_pattern[i] = '1';
+      std::string out_pattern(ports.outputs.size(), '0');
+      for (std::size_t i = 0; i < ports.outputs.size(); ++i) {
+        if (sim.get_bit(ports.outputs[i])) out_pattern[i] = '1';
       }
       sim.step();
       const std::uint64_t next = sim.get(state_h);
@@ -210,8 +250,8 @@ ExtractedFsm recover(const rtlil::Module& module, const NetlistIndex& index,
   out.state_codes = order;
   out.encoding = classify(order);
   out.fsm.name = module.name() + "." + cand.wire->name();
-  out.fsm.inputs = input_names;
-  out.fsm.outputs = output_names;
+  for (const SigBit& bit : ports.inputs) out.fsm.inputs.push_back(bit_name(bit));
+  for (const SigBit& bit : ports.outputs) out.fsm.outputs.push_back(bit_name(bit));
   for (const std::uint64_t code : order) out.fsm.add_state("s" + std::to_string(code));
   out.fsm.reset_state = 0;
   for (const std::uint64_t code : order) {
@@ -247,34 +287,6 @@ const char* encoding_name(StateEncoding encoding) {
   unreachable("encoding_name: bad encoding");
 }
 
-void compact_cubes(std::vector<ExtractCube>& cubes) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < cubes.size() && !changed; ++i) {
-      for (std::size_t j = i + 1; j < cubes.size() && !changed; ++j) {
-        if (cubes[i].next != cubes[j].next || cubes[i].output != cubes[j].output) continue;
-        const std::string& a = cubes[i].guard;
-        const std::string& b = cubes[j].guard;
-        int diff = -1;
-        bool mergeable = true;
-        for (std::size_t k = 0; k < a.size(); ++k) {
-          if (a[k] == b[k]) continue;
-          if (a[k] == '-' || b[k] == '-' || diff >= 0) {
-            mergeable = false;
-            break;
-          }
-          diff = static_cast<int>(k);
-        }
-        if (!mergeable || diff < 0) continue;
-        cubes[i].guard[static_cast<std::size_t>(diff)] = '-';
-        cubes.erase(cubes.begin() + static_cast<std::ptrdiff_t>(j));
-        changed = true;
-      }
-    }
-  }
-}
-
 std::vector<std::string> find_state_registers(const rtlil::Module& module) {
   const NetlistIndex index(module);
   std::vector<std::string> out;
@@ -289,9 +301,22 @@ std::vector<ExtractedFsm> extract_fsms(const rtlil::Module& module,
   const NetlistIndex index(module);
   std::vector<ExtractedFsm> out;
   for (const Candidate& c : find_candidates(module, index)) {
-    out.push_back(recover(module, index, c, options));
+    out.push_back(recover(module, c, cone_ports(module, index, c, options), options));
   }
   return out;
+}
+
+ExtractedFsm extract_fsm(const rtlil::Module& module, const std::string& state_wire,
+                         const ExtractOptions& options) {
+  const Wire* wire = module.wire(state_wire);
+  require(wire != nullptr, "fsm extract: " + module.name() + " has no state wire " + state_wire);
+  const NetlistIndex index(module);
+  const std::optional<Candidate> cand = candidate_of(wire, index);
+  require(cand.has_value(), "fsm extract: " + module.name() + "." + state_wire +
+                                " is not a self-feeding flip-flop register");
+  Ports ports{port_bits(module, /*inputs=*/true), {}};
+  if (options.capture_outputs) ports.outputs = port_bits(module, /*inputs=*/false);
+  return recover(module, *cand, ports, options);
 }
 
 }  // namespace scfi::fsm

@@ -1,15 +1,26 @@
-// Automatic FSM discovery + recovery from an arbitrary netlist — the front
-// half of Yosys' fsm_detect/fsm_extract (§5.1 of the paper), generalized
-// from sim/extract.h which needs the state wire named up front.
+// FSM recovery from a netlist — the front half of Yosys' fsm_detect /
+// fsm_extract (§5.1 of the paper: "our custom FSM protection pass identifies
+// the unprotected FSM by utilizing the existing Yosys FSM passes").
 //
 // Detection is structural: a candidate state register is a wire whose bits
 // are all flip-flop outputs and whose next-state cone's flip-flop support is
 // exactly the wire itself (self-feeding and self-contained — datapath
 // pipeline registers fail the self-feeding test, registers fed by other
 // registers fail self-containment). Recovery is exhaustive simulation over
-// the cone-relevant input bits, BFS from the reset code, followed by
+// the machine's input bits, BFS from the reset code, followed by
 // adjacent-implicant cube compaction; the encoding of the discovered codes
 // is classified as binary / one-hot / other.
+//
+// Two entry points share that recovery and differ only in which port bits
+// become the machine's inputs and outputs:
+//  - extract_fsms() discovers every candidate and keeps only the cone-
+//    relevant ports: the input bits of the next-state cone and of the
+//    captured outputs, and the outputs that depend on this register and on
+//    no other state;
+//  - extract_fsm() recovers one named state register and keeps the module's
+//    whole interface: every input bit and every output bit, constant or
+//    irrelevant ones included, so the machine is a drop-in model of the
+//    module (what the SCFI pass in core/pass.h hardens).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +41,7 @@ enum class StateEncoding : std::uint8_t {
 const char* encoding_name(StateEncoding encoding);
 
 struct ExtractOptions {
-  int max_inputs = 14;   ///< exhaustive 2^n bound on cone-relevant inputs
+  int max_inputs = 14;   ///< exhaustive 2^n bound on the machine's input bits
   int max_states = 256;  ///< reachable-state bound (runaway counters)
   bool capture_outputs = true;
 };
@@ -49,24 +60,17 @@ struct ExtractedFsm {
 std::vector<std::string> find_state_registers(const rtlil::Module& module);
 
 /// Recovers every candidate state register as an Fsm (validated by
-/// Fsm::check). A module with no FSM yields an empty vector without error;
-/// a candidate exceeding the exhaustive bounds throws ScfiError.
+/// Fsm::check) over its cone-relevant ports. A module with no FSM yields an
+/// empty vector without error; a candidate exceeding the exhaustive bounds
+/// throws ScfiError.
 std::vector<ExtractedFsm> extract_fsms(const rtlil::Module& module,
                                        const ExtractOptions& options = {});
 
-// --- shared with sim::extract_fsm ------------------------------------------
-
-/// One recovered (input-cube) -> (next state, outputs) row.
-struct ExtractCube {
-  std::string guard;
-  std::uint64_t next = 0;
-  std::string output;
-};
-
-/// Merges cubes that differ in exactly one determined position and agree on
-/// (next, output) until no merge applies — adjacent-implicant compaction
-/// (Quine-McCluskey restricted to exact unions). The resulting guards of one
-/// state partition the input space, so priority order never matters.
-void compact_cubes(std::vector<ExtractCube>& cubes);
+/// Recovers the FSM held in `state_wire` over the module's whole interface
+/// (port names: the wire name for 1-bit ports, "wire[i]" otherwise, in
+/// module wire order). Throws ScfiError naming the wire when it is missing
+/// or is not a self-feeding flip-flop register, and on exceeded bounds.
+ExtractedFsm extract_fsm(const rtlil::Module& module, const std::string& state_wire,
+                         const ExtractOptions& options = {});
 
 }  // namespace scfi::fsm

@@ -339,30 +339,19 @@ std::string ResultStore::to_line(const SweepResult& result) {
   return out.str();
 }
 
-SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
+SweepResult ResultStore::parse_line(const std::string& line) {
   // Fields are collected first and committed at the end: the `kind`,
   // `target`, `detected`, and `masked` names are shared between the two job
   // types, so they can only be routed once the (possibly later) `type` field
-  // is known. v1 lines have no `type` field and migrate as SYNFI records;
-  // v2 lines have no `source` field and migrate as zoo records; v3 lines
-  // have no `status`/`attempts` fields and migrate as ok single-attempt
-  // records; v4 lines predate the fleet and carry no `worker`/`deadline`
-  // fields or `leased` status; v5 lines predate the k-fault threat model
-  // (no `faults_k`/`protection_degree`, and `target` only on campaigns) and
-  // migrate as single-fault records with a derived protection degree.
+  // is known.
   int schema = -1;
   std::string type_str = "synfi";
   std::string kind_str;
   std::string target_str;
   bool saw_kind = false;
   bool saw_target = false;
-  bool saw_source = false;
-  bool saw_status = false;
   bool saw_error = false;
-  bool saw_attempts = false;
-  bool saw_worker = false;
   bool saw_deadline = false;
-  bool saw_faults_k = false;
   bool saw_degree = false;
   int faults_k = 1;
   std::int64_t detected = 0;
@@ -375,29 +364,26 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
       const std::string field = parser.parse_string();
       parser.expect(':');
       if (field == "schema") {
-        schema = static_cast<int>(parser.parse_number());
-        require(schema >= 1 && schema <= kSchemaVersion,
-                "result store: schema version " + std::to_string(schema) +
-                    " (expected 1.." + std::to_string(kSchemaVersion) + ")");
+        schema = parser.parse_int_count();
+        require(schema == kSchemaVersion,
+                "result store: schema version " + std::to_string(schema) + " (expected " +
+                    std::to_string(kSchemaVersion) +
+                    "); re-run the sweep to regenerate the store at the current schema");
       } else if (field == "type") {
         type_str = parser.parse_string();
       } else if (field == "key") {
         parser.parse_string();  // derived; recomputed from the job fields
       } else if (field == "source") {
         result.job.source = parser.parse_string();
-        saw_source = true;
       } else if (field == "status") {
         result.status = job_status_of(parser.parse_string());
-        saw_status = true;
       } else if (field == "error") {
         result.error = parser.parse_string();
         saw_error = true;
       } else if (field == "attempts") {
         result.attempts = parser.parse_int_count();
-        saw_attempts = true;
       } else if (field == "worker") {
         result.worker = parser.parse_string();
-        saw_worker = true;
       } else if (field == "deadline") {
         result.deadline = parser.parse_number();
         saw_deadline = true;
@@ -421,7 +407,6 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
         saw_target = true;
       } else if (field == "faults_k") {
         faults_k = parser.parse_int_count();
-        saw_faults_k = true;
       } else if (field == "protection_degree") {
         result.protection_degree = parser.parse_int_count();
         saw_degree = true;
@@ -474,23 +459,6 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
   require(schema > 0, "result store: JSONL line missing schema field");
   require(!result.job.module.empty(), "result store: JSONL line missing module field");
   result.job.type = job_type_of(type_str);
-  require(schema >= 2 || result.job.type == JobType::kSynfi,
-          "result store: schema 1 lines cannot carry campaign records");
-  require(schema >= 3 || !saw_source,
-          "result store: schema " + std::to_string(schema) +
-              " lines cannot carry a source field (corpus sources are v3)");
-  require(schema >= 4 || !(saw_status || saw_error || saw_attempts),
-          "result store: schema " + std::to_string(schema) +
-              " lines cannot carry status/error/attempts fields (job status is v4)");
-  require(schema >= 5 ||
-              !(saw_worker || saw_deadline || result.status == JobStatus::kLeased),
-          "result store: schema " + std::to_string(schema) +
-              " lines cannot carry worker/deadline fields or a leased status "
-              "(fleet leases are v5)");
-  require(schema >= 6 || !(saw_faults_k || saw_degree),
-          "result store: schema " + std::to_string(schema) +
-              " lines cannot carry faults_k/protection_degree fields "
-              "(the k-fault threat model is v6)");
   require(result.attempts >= 1, "result store: attempts must be >= 1");
   require(result.status == JobStatus::kFailed || !saw_error,
           "result store: only failed records can carry an error field");
@@ -508,12 +476,6 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
     result.campaign.detected = static_cast<int>(detected);
     result.campaign.masked = static_cast<int>(masked);
   } else {
-    // `target` on a SYNFI line is itself a v6 extension — campaign lines
-    // carried one since v2, so the gate is per-type.
-    require(schema >= 6 || !saw_target,
-            "result store: schema " + std::to_string(schema) +
-                " synfi lines cannot carry a target field "
-                "(the k-fault threat model is v6)");
     if (saw_kind) result.job.synfi.kind = fault_kind_of(kind_str);
     if (saw_target) result.job.synfi.target = fault_target_of(target_str);
     require(faults_k >= 1, "result store: faults_k must be >= 1");
@@ -521,13 +483,11 @@ SweepResult ResultStore::parse_line(const std::string& line, int* schema_out) {
     result.report.faults_k = faults_k;
     result.report.detected = detected;
     result.report.masked = masked;
-    // v5-and-older ok records are all single-fault sweeps, so their
-    // protection degree is fully determined by the verdict.
-    if (!saw_degree && result.status == JobStatus::kOk) {
-      result.protection_degree = result.report.exploitable > 0 ? 1 : 0;
-    }
+    // The degree of a k > 1 sweep is not derivable from its verdict, so an
+    // ok record must state it rather than have one invented.
+    require(result.status != JobStatus::kOk || saw_degree,
+            "result store: ok synfi records must carry a protection_degree field");
   }
-  if (schema_out != nullptr) *schema_out = schema;
   return result;
 }
 
@@ -554,10 +514,7 @@ ResultStore ResultStore::load(const std::string& path, bool recover_torn_tail) {
   }
   for (std::size_t i = 0; i < lines.size(); ++i) {
     try {
-      int schema = 0;
-      store.add(parse_line(lines[i].second, &schema));
-      if (store.min_schema_ == 0 || schema < store.min_schema_) store.min_schema_ = schema;
-      if (schema > store.max_schema_) store.max_schema_ = schema;
+      store.add(parse_line(lines[i].second));
     } catch (const ScfiError& e) {
       if (recover_torn_tail && i + 1 == lines.size()) {
         log_warn("result store: dropping torn final line at " + path + ":" +
@@ -580,14 +537,6 @@ void ResultStore::add(SweepResult result) {
   }
   index_.emplace(key, results_.size());
   results_.push_back(std::move(result));
-}
-
-void ResultStore::require_uniform_schema(const std::string& what) const {
-  if (min_schema_ == 0 || min_schema_ == max_schema_) return;
-  throw ScfiError(what + ": store mixes schema versions v" + std::to_string(min_schema_) +
-                  " and v" + std::to_string(max_schema_) +
-                  "; refusing to migrate mid-operation — rewrite it explicitly with "
-                  "`scfi_cli store-compact --migrate` first");
 }
 
 bool ResultStore::contains(const std::string& key) const { return index_.count(key) > 0; }
@@ -686,7 +635,7 @@ void ResultStore::append_line(const std::string& path, const SweepResult& result
   require(synced, "result store: fsync of " + path + " failed");
 }
 
-ResultStore::CompactStats ResultStore::compact_file(const std::string& path, bool migrate) {
+ResultStore::CompactStats ResultStore::compact_file(const std::string& path) {
   std::error_code ec;
   require(std::filesystem::exists(path, ec),
           "store-compact: " + path + ": no such store file");
@@ -705,10 +654,6 @@ ResultStore::CompactStats ResultStore::compact_file(const std::string& path, boo
   // way an atomic rewrite to zero records would destroy whatever was there.
   require(store.size() > 0,
           "store-compact: " + path + ": store holds no complete records");
-  // save() rewrites every line at the current schema, so compacting a
-  // mixed-version store would silently migrate the old half of it; that
-  // needs the explicit --migrate opt-in.
-  if (!migrate) store.require_uniform_schema("store-compact: " + path);
   store.save(path);
   stats.records = store.size();
   return stats;

@@ -54,7 +54,7 @@ JobType job_type_of(const std::string& name);
 enum class JobStatus {
   kOk,      ///< report payload is valid
   kFailed,  ///< job threw / timed out / crashed its worker; `error` says why
-  kLeased,  ///< claimed by `worker` until `deadline` (fleet mode, schema v5)
+  kLeased,  ///< claimed by `worker` until `deadline` (fleet mode)
 };
 const char* job_status_name(JobStatus status);
 JobStatus job_status_of(const std::string& name);
@@ -101,8 +101,7 @@ struct SweepResult {
   /// Ok SYNFI records only: the variant's measured protection degree — the
   /// smallest k in [1, job.synfi.faults_k] whose k-fault sweep found an
   /// exploitable outcome, 0 when none did. Deterministic given the job
-  /// identity, so it participates in reports_equal. v5 records (always
-  /// faults_k = 1) migrate it as exploitable > 0 ? 1 : 0.
+  /// identity, so it participates in reports_equal.
   int protection_degree = 0;
   std::string error;              ///< why the job failed (status == kFailed)
   int attempts = 1;               ///< executions spent, retries included
@@ -127,13 +126,10 @@ bool reports_equal(const SweepResult& a, const SweepResult& b);
 
 class ResultStore {
  public:
-  /// Bumped whenever the line schema changes. load()/parse_line() migrate
-  /// v1 lines (SYNFI-only, no `type` field), v2 lines (zoo-only, no
-  /// `source` field), v3 lines (always-ok, no `status`/`attempts` fields),
-  /// v4 lines (pre-fleet, no `worker`/`deadline` fields or `leased`
-  /// status), and v5 lines (single-fault threat model — no `faults_k` /
-  /// `protection_degree` / SYNFI `target` fields) to v6 records on the fly
-  /// and reject anything else; to_line() always writes the current version.
+  /// Bumped whenever the line schema changes. to_line() writes this version
+  /// and load()/parse_line() accept only it: a line at any other version is
+  /// a ScfiError naming the version, and the store is regenerated by
+  /// re-running its sweep.
   static constexpr int kSchemaVersion = 6;
 
   ResultStore() = default;
@@ -157,18 +153,6 @@ class ResultStore {
   const std::vector<SweepResult>& results() const { return results_; }
   std::size_t size() const { return results_.size(); }
 
-  /// Smallest / largest on-disk schema version among the lines load() read,
-  /// 0 for a store never loaded from a file (records added programmatically
-  /// are implicitly current). load() migrates every line to the in-memory
-  /// v6 shape either way; these only report what the file itself said.
-  int min_schema() const { return min_schema_; }
-  int max_schema() const { return max_schema_; }
-  /// Throws ScfiError naming both versions when the loaded file mixed
-  /// schema versions. Verdict-bearing consumers (store-compact, sweep-diff)
-  /// call this instead of silently migrating half a store mid-comparison;
-  /// `what` prefixes the error ("sweep-diff: old.jsonl").
-  void require_uniform_schema(const std::string& what) const;
-
   /// Folds `other` into this store; on key collisions `other` wins.
   void merge(const ResultStore& other);
 
@@ -191,10 +175,9 @@ class ResultStore {
 
   /// Serializes one record as a single JSONL line (no trailing newline).
   static std::string to_line(const SweepResult& result);
-  /// Inverse of to_line; throws ScfiError on malformed input or wrong
-  /// schema version. `schema_out`, when non-null, receives the line's
-  /// on-disk schema version (the record itself is always migrated to v6).
-  static SweepResult parse_line(const std::string& line, int* schema_out = nullptr);
+  /// Inverse of to_line; throws ScfiError on malformed input or a schema
+  /// version other than kSchemaVersion.
+  static SweepResult parse_line(const std::string& line);
   /// Appends one record to a JSONL file (creating it if needed) as one
   /// O_APPEND write followed by fsync: records from concurrent workers
   /// never interleave, and once the call returns the record survives a
@@ -211,17 +194,12 @@ class ResultStore {
   /// tail) via the atomic save() path. A missing file, an empty file, or a
   /// file whose every line is torn is an error — ScfiError naming the path
   /// and the reason — not a silent no-op: compacting nothing means the
-  /// caller pointed at the wrong store. A store whose lines mix schema
-  /// versions is rejected the same way (see require_uniform_schema) unless
-  /// `migrate` is set, which deliberately rewrites every record at the
-  /// current version.
-  static CompactStats compact_file(const std::string& path, bool migrate = false);
+  /// caller pointed at the wrong store.
+  static CompactStats compact_file(const std::string& path);
 
  private:
   std::vector<SweepResult> results_;
   std::map<std::string, std::size_t> index_;  ///< key -> position in results_
-  int min_schema_ = 0;  ///< smallest on-disk schema seen by load(), 0 = none
-  int max_schema_ = 0;  ///< largest on-disk schema seen by load(), 0 = none
 };
 
 }  // namespace scfi::sweep

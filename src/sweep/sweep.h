@@ -22,7 +22,7 @@
 //
 // The fleet is failure-isolated: a job that throws mid-execution (or whose
 // variant fails to build) is retried up to `retries` times with exponential
-// backoff, then recorded as a schema-v4 failure record — it never takes
+// backoff, then recorded as a failure record — it never takes
 // down the other jobs. A per-job wall-clock deadline (`job_timeout`) is
 // enforced cooperatively via a CancelToken polled inside the SYNFI and
 // campaign inner loops. `fail_fast` restores the old abort-the-fleet

@@ -101,6 +101,25 @@ TEST(FsmExtract, MultipleCandidateRegistersAreAllReported) {
   EXPECT_EQ(machines.at(1).fsm.inputs, (std::vector<std::string>{"tb"}));
 }
 
+TEST(FsmExtract, NamedStateWireMustBeAStateRegister) {
+  rtlil::Design design;
+  rtlil::Module& m = *design.add_module("toggler");
+  add_toggle(m, "q", "tick", "o");
+  rtlil::validate_module(m);
+
+  EXPECT_EQ(extract_fsm(m, "q").state_codes, (std::vector<std::uint64_t>{0, 1}));
+  // A missing wire and a wire no flip-flop drives are refused by name.
+  for (const auto& [wire, reason] : {std::pair{"nope", "toggler has no state wire nope"},
+                                     {"tick", "toggler.tick is not a self-feeding"}}) {
+    try {
+      extract_fsm(m, wire);
+      ADD_FAILURE() << wire << " accepted as a state register";
+    } catch (const ScfiError& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(FsmExtract, OneHotRingCounterIsClassifiedOneHot) {
   rtlil::Design design;
   rtlil::Module& m = *design.add_module("ring");

@@ -5,8 +5,8 @@
 
 #include "base/rng.h"
 #include "fsm/compile.h"
+#include "fsm/extract.h"
 #include "rtlil/design.h"
-#include "sim/extract.h"
 #include "sim/fault.h"
 #include "sim/netlist_sim.h"
 #include "sim/vcd.h"
@@ -183,7 +183,7 @@ TEST(Extract, RecoversToggle) {
   Design d;
   const fsm::Fsm f = test::toggle_fsm();
   const fsm::CompiledFsm c = fsm::compile_unprotected(f, d);
-  const fsm::Fsm g = sim::extract_fsm(*c.module);
+  const fsm::Fsm g = fsm::extract_fsm(*c.module, c.state_wire).fsm;
   EXPECT_EQ(g.num_states(), 2);
   // Behavioural equivalence over a walk.
   int sf = f.reset_state;
@@ -201,8 +201,11 @@ TEST(Extract, RecoversPaperFsmBehaviour) {
   Design d;
   const fsm::Fsm f = test::paper_fsm();
   const fsm::CompiledFsm c = fsm::compile_unprotected(f, d);
-  const fsm::Fsm g = sim::extract_fsm(*c.module);
+  const fsm::Fsm g = fsm::extract_fsm(*c.module, c.state_wire).fsm;
   EXPECT_EQ(g.num_states(), f.num_states());
+  // The named-wire entry keeps the module's whole port interface.
+  EXPECT_EQ(g.inputs, f.inputs);
+  EXPECT_EQ(g.outputs, f.outputs);
   Rng rng(5);
   int sf = f.reset_state;
   int sg = g.reset_state;

@@ -166,7 +166,7 @@ TEST(LeaseLedger, CarriesPartialTailAndSalvagesGluedRecords) {
   const std::string glued = ResultStore::to_line(ok_record(jobs[1]));
   {
     std::ofstream out(path, std::ios::app);
-    out << "{\"schema\":5,\"type\":\"syn" << glued << "\n";
+    out << "{\"schema\":6,\"type\":\"syn" << glued << "\n";
   }
   ledger.poll();
   EXPECT_TRUE(ledger.done(jobs[1].key()));
